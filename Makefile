@@ -2,7 +2,7 @@ GO ?= go
 BENCH_RUNS ?= 3
 BENCH_SIZE ?= 2
 
-.PHONY: build test lint verify fuzz bench benchdiff baseline compare
+.PHONY: build test lint verify fuzz bench benchdiff baseline compare layerbench
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,14 @@ fuzz:
 bench:
 	$(GO) run ./cmd/pds-bench -json -runs $(BENCH_RUNS) -size $(BENCH_SIZE) all
 	$(GO) test ./internal/diskstore -run '^$$' -bench . -benchmem
+
+# layerbench runs the tests of the layer-attributed benchmark, a Go
+# module of its own (layerbench/go.mod) that `go test ./...` at the
+# root does not reach: every workload at its tiny size, the output
+# checks, digest repeats and the metric-name match with BENCHMARK.json.
+# -short skips the two full-size fidelity anchors.
+layerbench:
+	cd layerbench && $(GO) test -short ./...
 
 # benchdiff is the benchmark-regression gate: it compares the fresh
 # BENCH_PDS.json (run `make bench` first) against the committed

@@ -60,6 +60,9 @@ var hotpathSeeds = []hotSeed{
 	{"/internal/radio", "Medium", "finishTransmission"},
 	{"/internal/radio", "Medium", "candidates"},
 	{"/internal/radio", "Medium", "collided"},
+	{"/internal/radio", "Medium", "overlapping"},
+	{"/internal/radio", "Medium", "busyFor"},
+	{"/internal/radio", "Medium", "busyUntil"},
 	{"/internal/spatial", "Grid", "VisitNeighborhood"},
 	{"/internal/spatial", "Grid", "AppendNeighborhood"},
 	{"/internal/trace", "Tracer", "FrameTx"},

@@ -23,12 +23,14 @@
 // package mobility.
 //
 // Scale: nodes live in a uniform-grid spatial index (package spatial)
-// whose cell edge equals the carrier-sense range, so every geometric
-// query — neighbor lists, carrier sensing, collision checks, delivery
-// fan-out — scans only the 3×3 cell block around the point of interest
-// instead of the whole population. Per-node hot state is held in dense
-// slices indexed by a small int handle; the id → handle map is touched
-// only on attach/detach and API lookups, never in per-frame loops.
+// whose cell edge equals the carrier-sense range, so neighbor lists and
+// delivery fan-out scan only the 3×3 cell block around the point of
+// interest instead of the whole population. Carrier sensing and
+// collision checks need only the transmissions that are on the air, so
+// they scan the medium's short list of live records instead. Per-node
+// hot state is held in dense slices indexed by a small int handle; the
+// id → handle map is touched only on attach/detach and API lookups,
+// never in per-frame loops.
 package radio
 
 import (
@@ -169,10 +171,11 @@ type queuedFrame struct {
 	size int
 }
 
-// txRecord is one transmission's occupancy of the channel. Records hang
-// off their transmitting Radio (found through the spatial index by the
-// carrier-sense and collision queries) and are pooled: the medium
-// recycles them once they can no longer overlap anything.
+// txRecord is one transmission's occupancy of the channel. Records live
+// in Medium.txOrder, which the carrier-sense and collision queries scan,
+// and are pooled: the medium recycles them once they can no longer
+// overlap anything. A record whose owner has detached stays in the list
+// until pruned but is neither sensed nor interferes.
 type txRecord struct {
 	owner      *Radio
 	start, end time.Duration
@@ -186,10 +189,6 @@ type Radio struct {
 	pos  Pos
 	// deliver is invoked for every frame that survives to this node.
 	deliver func(*wire.Message)
-
-	// recs are this radio's transmissions that may still overlap a live
-	// one, oldest first (retired by Medium.prune).
-	recs []*txRecord
 
 	queue        []queuedFrame
 	queuedBytes  int
@@ -225,23 +224,20 @@ type Medium struct {
 	grid   *spatial.Grid // slot -> position, cell edge = senseRange
 
 	// txOrder holds live-or-recent transmission records in creation
-	// (= start-time) order.
+	// (= start-time) order. It is the medium's only record index: a
+	// handful of records at a time, however many radios are attached.
 	txOrder []*txRecord
 	recPool []*txRecord
 	active  int // live (unfinished) transmissions
 	stats   Stats
 
-	// allPairs disables the spatial index for geometric queries and
-	// scans every attached radio instead — the O(n) reference mode the
-	// equivalence tests run against the grid.
-	allPairs bool
-
 	// scratch buffers, reused across queries to keep hot paths
-	// allocation-free. cand serves the short-lived sense/collision
-	// queries; rxCand is held across the delivery callbacks of one
+	// allocation-free. cand serves short-lived neighborhood queries;
+	// rxCand and overlap are held across the delivery callbacks of one
 	// finishTransmission, which may themselves issue cand queries.
 	cand    []*Radio
 	rxCand  []*Radio
+	overlap []*txRecord
 	slotBuf []int32
 
 	// OnTransmit, when set, observes every transmission start (tracing).
@@ -371,18 +367,12 @@ func (m *Medium) InRange(a, b wire.NodeID) bool {
 
 // candidates fills m.cand with every radio whose current position can
 // satisfy a query of radius <= senseRange around p: the 3×3 cell block
-// around p's cell, or every attached radio in allPairs reference mode.
-// The result aliases m.cand and is invalidated by the next call.
+// around p's cell. The result aliases m.cand and is invalidated by the
+// next call.
 //
 //pds:hotpath
 func (m *Medium) candidates(p Pos) []*Radio {
 	m.cand = m.cand[:0]
-	if m.allPairs {
-		for _, id := range m.ids {
-			m.cand = append(m.cand, m.radios[m.index[id]])
-		}
-		return m.cand
-	}
 	m.slotBuf = m.grid.AppendNeighborhood(p.X, p.Y, m.slotBuf[:0])
 	for _, s := range m.slotBuf {
 		m.cand = append(m.cand, m.radios[s])
@@ -433,25 +423,27 @@ func (m *Medium) senseRange() float64 {
 	return m.cfg.Range * f
 }
 
+// audible reports whether rec's transmitter is attached and within
+// sense range of r.
+func (m *Medium) audible(rec *txRecord, r *Radio) bool {
+	return !rec.owner.gone && rec.owner.pos.Dist(r.pos) <= m.senseRange()
+}
+
 // busyUntil returns the latest end time of transmissions currently
 // audible at r (zero when the channel is idle). Unlike busyFor it
 // counts transmissions regardless of SenseLag: it estimates how long to
 // defer, not whether a collision occurs.
+//
+//pds:hotpath
 func (m *Medium) busyUntil(r *Radio) time.Duration {
 	if m.active == 0 {
 		return 0
 	}
 	now := m.eng.Now()
-	sr := m.senseRange()
 	var until time.Duration
-	for _, tx := range m.candidates(r.pos) {
-		if len(tx.recs) == 0 || tx.pos.Dist(r.pos) > sr {
-			continue
-		}
-		for _, rec := range tx.recs {
-			if rec.end > now && rec.end > until {
-				until = rec.end
-			}
+	for _, rec := range m.txOrder {
+		if rec.end > now && rec.end > until && m.audible(rec, r) {
+			until = rec.end
 		}
 	}
 	return until
@@ -461,20 +453,16 @@ func (m *Medium) busyUntil(r *Radio) time.Duration {
 // Transmissions younger than SenseLag are not yet sensed — that is the
 // vulnerable window in which two backoffs expiring in the same slot
 // collide.
+//
+//pds:hotpath
 func (m *Medium) busyFor(r *Radio) bool {
 	if m.active == 0 {
 		return false
 	}
 	now := m.eng.Now()
-	sr := m.senseRange()
-	for _, tx := range m.candidates(r.pos) {
-		if len(tx.recs) == 0 || tx.pos.Dist(r.pos) > sr {
-			continue
-		}
-		for _, rec := range tx.recs {
-			if rec.end > now && now-rec.start >= m.cfg.SenseLag {
-				return true
-			}
+	for _, rec := range m.txOrder {
+		if rec.end > now && now-rec.start >= m.cfg.SenseLag && m.audible(rec, r) {
+			return true
 		}
 	}
 	return false
@@ -519,8 +507,11 @@ func (r *Radio) Send(msg *wire.Message) bool {
 		// Acks jump the transmit queue, modeling the SIFS-priority a
 		// real MAC gives acknowledgements; without this they starve
 		// behind queued 256 KB chunks and trigger spurious
-		// retransmissions.
-		r.queue = append([]queuedFrame{fr}, r.queue...)
+		// retransmissions. The newest ack goes first, inserted in
+		// place so an ack costs no allocation.
+		r.queue = append(r.queue, queuedFrame{})
+		copy(r.queue[1:], r.queue)
+		r.queue[0] = fr
 	} else {
 		r.queue = append(r.queue, fr)
 	}
@@ -584,6 +575,7 @@ func (r *Radio) transmitIfClear() {
 		return
 	}
 	fr := r.queue[0]
+	r.queue[0] = queuedFrame{} // unpin the sent frame from the backing array
 	r.queue = r.queue[1:]
 	r.queuedBytes -= fr.size
 	r.transmitting = true
@@ -593,7 +585,6 @@ func (r *Radio) transmitIfClear() {
 	now := m.eng.Now()
 	dur := m.airtime(fr.size)
 	rec := m.newRecord(r, now, now+dur)
-	r.recs = append(r.recs, rec)
 	m.txOrder = append(m.txOrder, rec)
 	m.active++
 	m.stats.Transmissions++
@@ -625,25 +616,28 @@ func (m *Medium) finishTransmission(rec *txRecord, msg *wire.Message) {
 	m.active--
 	sender := rec.owner
 	if !sender.gone {
-		// Candidate receivers are everyone the spatial index puts near
-		// the sender's current position — a superset of the in-range
-		// set. Deliver in sorted id order: index iteration order would
-		// leak placement history into RNG draws and event ordering,
-		// breaking the engine's reproducibility guarantee. rxCand is
-		// reserved for this loop because deliver callbacks may issue
-		// nested sense queries through m.cand.
-		cand := append(m.rxCand[:0], m.candidates(sender.pos)...)
+		// Receivers are the radios in range of the sender's current
+		// position, picked out of the spatial index's 3×3 block. Deliver
+		// in sorted id order: index iteration order would leak placement
+		// history into RNG draws and event ordering, breaking the
+		// engine's reproducibility guarantee. rxCand is reserved for this
+		// loop because deliver callbacks may issue nested neighborhood
+		// queries through m.cand.
+		m.rxCand = m.rxCand[:0]
+		for _, rx := range m.candidates(sender.pos) {
+			if rx != sender && rx.pos.Dist(sender.pos) <= m.cfg.Range {
+				m.rxCand = append(m.rxCand, rx)
+			}
+		}
 		// slices.SortFunc rather than sort.Slice: the sort.Interface shim
 		// boxes the slice into an interface on every delivery.
-		slices.SortFunc(cand, func(a, b *Radio) int { return cmp.Compare(a.id, b.id) })
-		for _, rx := range cand {
-			if rx == sender || rx.gone {
+		slices.SortFunc(m.rxCand, func(a, b *Radio) int { return cmp.Compare(a.id, b.id) })
+		overlap := m.overlapping(rec)
+		for _, rx := range m.rxCand {
+			if rx.gone {
 				continue
 			}
-			if rx.pos.Dist(sender.pos) > m.cfg.Range {
-				continue
-			}
-			if m.collided(rec, rx, sender) {
+			if m.collided(overlap, rx, sender) {
 				m.stats.Collisions++
 				m.Tracer.Frame(trace.FrameCollision, rx.id, sender.id, msg)
 				continue
@@ -689,46 +683,58 @@ func (m *Medium) finishTransmission(rec *txRecord, msg *wire.Message) {
 				}
 			}
 		}
-		m.rxCand = cand[:0]
 	}
 	m.prune(rec.end)
 }
 
-// collided reports whether the frame was destroyed at rx: the receiver
-// was itself transmitting (half duplex), or a time-overlapping
-// transmission audible at rx was too strong for capture. With capture
-// enabled, the frame survives when its sender is decisively closer to
-// rx than every interferer, as a SINR receiver would decode it.
+// overlapping collects the records other than rec that overlap it in
+// time: every transmission that can have destroyed rec's frame at some
+// receiver. The result aliases m.overlap and is invalidated by the next
+// call.
 //
 //pds:hotpath
-func (m *Medium) collided(rec *txRecord, rx *Radio, sender *Radio) bool {
+func (m *Medium) overlapping(rec *txRecord) []*txRecord {
+	m.overlap = m.overlap[:0]
+	for _, o := range m.txOrder {
+		if o.start >= rec.end {
+			break // start-ordered: nothing later overlaps
+		}
+		if o != rec && o.end > rec.start {
+			m.overlap = append(m.overlap, o)
+		}
+	}
+	return m.overlap
+}
+
+// collided reports whether the frame was destroyed at rx, given the
+// records overlapping it in time: the receiver was itself transmitting
+// (half duplex), or an overlapping transmission audible at rx was too
+// strong for capture. With capture enabled, the frame survives when its
+// sender is decisively closer to rx than every interferer, as a SINR
+// receiver would decode it.
+//
+//pds:hotpath
+func (m *Medium) collided(overlap []*txRecord, rx *Radio, sender *Radio) bool {
 	dSig := sender.pos.Dist(rx.pos)
 	sr := m.senseRange()
-	for _, tx := range m.candidates(rx.pos) {
-		if len(tx.recs) == 0 {
+	for _, o := range overlap {
+		tx := o.owner
+		if tx.gone {
 			continue
 		}
-		dInt := tx.pos.Dist(rx.pos)
-		for _, o := range tx.recs {
-			if o == rec {
-				continue // rec itself
-			}
-			if o.end <= rec.start || o.start >= rec.end {
-				continue // no time overlap
-			}
-			if tx == rx {
-				return true // half duplex: rx was sending
-			}
-			// Interference reaches out to the sense range: a signal too
-			// weak to decode still corrupts concurrent reception.
-			if dInt > sr {
-				continue
-			}
-			if m.cfg.CaptureMargin > 0 && dInt >= dSig*m.cfg.CaptureMargin {
-				continue // captured: our signal dominates this interferer
-			}
-			return true
+		if tx == rx {
+			return true // half duplex: rx was sending
 		}
+		// Interference reaches out to the sense range: a signal too
+		// weak to decode still corrupts concurrent reception.
+		dInt := tx.pos.Dist(rx.pos)
+		if dInt > sr {
+			continue
+		}
+		if m.cfg.CaptureMargin > 0 && dInt >= dSig*m.cfg.CaptureMargin {
+			continue // captured: our signal dominates this interferer
+		}
+		return true
 	}
 	return false
 }
@@ -747,10 +753,10 @@ func (m *Medium) newRecord(owner *Radio, start, end time.Duration) *txRecord {
 
 // prune retires records that can no longer affect a sense or collision
 // query: everything that ended before the earliest start of a
-// still-active record and before now. Each retired record is unlinked
-// from its owner and returned to the pool. A retired record's
-// airtime-end event has always already run (it fires exactly at
-// rec.end < now), so no reference to it survives outside the medium.
+// still-active record and before now. Each retired record is returned
+// to the pool. A retired record's airtime-end event has always already
+// run (it fires exactly at rec.end < now), so no reference to it
+// survives outside the medium.
 //
 // The cutoff deliberately treats a transmission ending exactly at now
 // as inactive even though its delivery event may not have run yet: when
@@ -772,15 +778,6 @@ func (m *Medium) prune(now time.Duration) {
 		if rec.end >= earliest {
 			kept = append(kept, rec)
 			continue
-		}
-		owner := rec.owner
-		for i, o := range owner.recs {
-			if o == rec {
-				copy(owner.recs[i:], owner.recs[i+1:])
-				owner.recs[len(owner.recs)-1] = nil
-				owner.recs = owner.recs[:len(owner.recs)-1]
-				break
-			}
 		}
 		m.recPool = append(m.recPool, rec)
 	}

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -302,6 +303,49 @@ func TestAckPriority(t *testing.T) {
 	// be last.
 	if order[2] == wire.TypeAck {
 		t.Fatalf("ack transmitted last: %v", order)
+	}
+}
+
+// TestSendQueueInPlace pins the OS-buffer queue discipline: the newest
+// ack goes to the head, ahead of older acks and all data, without
+// allocating a new queue per ack; and a transmitted frame's slot is
+// cleared so the backing array does not pin the sent message.
+func TestSendQueueInPlace(t *testing.T) {
+	eng := sim.NewEngine(1)
+	m := NewMedium(eng, quietConfig())
+	r := m.Attach(1, Pos{}, nil)
+	data := func(id uint64) *wire.Message {
+		return &wire.Message{Type: wire.TypeResponse, From: 1, Response: &wire.Response{ID: id, Kind: wire.KindMetadata}}
+	}
+	r.Send(data(1))
+	r.Send(data(2))
+	r.Send(testMsg(1, 3))
+	r.Send(testMsg(1, 4))
+	var got []string
+	for _, fr := range r.queue {
+		if fr.msg.Type == wire.TypeAck {
+			got = append(got, fmt.Sprintf("ack%d", fr.msg.Ack.MsgID))
+		} else {
+			got = append(got, fmt.Sprintf("data%d", fr.msg.Response.ID))
+		}
+	}
+	if want := "[ack4 ack3 data1 data2]"; fmt.Sprint(got) != want {
+		t.Fatalf("queue order %v, want %s", got, want)
+	}
+
+	backing := r.queue[:len(r.queue)]
+	for r.TxCount == 0 && eng.Step() {
+	}
+	if backing[0].msg != nil {
+		t.Fatal("transmitted frame still referenced by the queue's backing array")
+	}
+
+	ack := testMsg(1, 5)
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.Send(ack)
+		r.queue, r.queuedBytes = r.queue[:0], 0
+	}); allocs != 0 {
+		t.Fatalf("Send(ack) allocates %.1f times per call", allocs)
 	}
 }
 
