@@ -192,6 +192,38 @@ func TestCrashWipesVolatileStateRestartRecovers(t *testing.T) {
 	eng.Run(eng.Now() + 5*time.Second)
 }
 
+// TestRestartLeavesOneHousekeepingChain: a crash kills the running
+// housekeeping chain at its next tick and a restart starts exactly one
+// new chain, whether the restart comes in the crash's own instant (the
+// old chain's tick still queued) or after downtime.
+func TestRestartLeavesOneHousekeepingChain(t *testing.T) {
+	eng := sim.NewEngine(1)
+	n := NewNode(1, eng, rand.New(rand.NewSource(1)), func(*wire.Message) {}, DefaultConfig())
+	oneChain := func(when string) {
+		t.Helper()
+		if got := eng.Pending(); got != 1 {
+			t.Fatalf("%s: %d events pending, want the one housekeeping tick", when, got)
+		}
+		before := eng.Processed()
+		eng.Run(eng.Now() + 10*time.Second)
+		if got := eng.Processed() - before; got != 10 {
+			t.Fatalf("%s: %d events in 10 s, want 10 ticks of one chain", when, got)
+		}
+	}
+	eng.Run(2500 * time.Millisecond)
+
+	n.Crash()
+	n.Restart()
+	eng.Run(eng.Now() + 1500*time.Millisecond)
+	oneChain("restart in the crash's instant")
+
+	n.Crash()
+	eng.Run(eng.Now() + 5*time.Second)
+	n.Restart()
+	eng.Run(eng.Now() + 1500*time.Millisecond)
+	oneChain("restart after downtime")
+}
+
 // TestRetrievalDeadlinePartialResult: with no routes to any chunk and a
 // deadline configured, the session must return a partial result at the
 // deadline with every missing chunk enumerated — never hang.

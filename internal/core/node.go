@@ -336,6 +336,15 @@ func (n *Node) CDI() *store.CDITable { return n.cdi }
 // LQTLen reports the lingering-query table size (tests/diagnostics).
 func (n *Node) LQTLen() int { return n.lqt.Len() }
 
+// Overdue counts the records in the node's data store, CDI table, LQT
+// and recent-response cache that housekeeping would reap and whose
+// deadline is before cutoff (tests/diagnostics). Housekeeping reaps
+// each record at the first 1 s tick at or after its deadline, so on a
+// running node Overdue(now - time.Second) is zero.
+func (n *Node) Overdue(cutoff time.Duration) int {
+	return n.ds.Overdue(cutoff) + n.cdi.Overdue(cutoff) + n.lqt.Overdue(cutoff) + n.rr.Overdue(cutoff)
+}
+
 // SetDebugPrune installs a hook observing relay prunes (tests only).
 func SetDebugPrune(fn func(*Node, *wire.Response, attr.Descriptor)) { debugPrune = fn }
 
@@ -415,8 +424,11 @@ func (n *Node) scheduleHousekeeping() {
 	if n.stopped || n.crashed {
 		return
 	}
+	// One closure per epoch re-arms itself every second; a crash bumps
+	// the epoch, so the old chain dies at its next firing.
 	epoch := n.epoch
-	n.clk.Schedule(time.Second, func() {
+	var tick func()
+	tick = func() {
 		if n.stopped || n.crashed || n.epoch != epoch {
 			return
 		}
@@ -426,8 +438,9 @@ func (n *Node) scheduleHousekeeping() {
 		n.lqt.Expire(now)
 		n.rr.Prune(now)
 		n.routing.Tick(now)
-		n.scheduleHousekeeping()
-	})
+		n.clk.Schedule(time.Second, tick)
+	}
+	n.clk.Schedule(time.Second, tick)
 }
 
 // PublishEntry registers a metadata-only fact this node produced (used

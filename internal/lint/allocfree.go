@@ -28,9 +28,10 @@ import (
 //   - interface boxing of non-pointer-shaped arguments (the compiler
 //     heap-allocates the value word);
 //   - append whose destination's capacity provenance is unknown: not a
-//     parameter, receiver field, package-level buffer, or a slice the
-//     dataflow engine proves locally constructed (whose creation site
-//     is flagged instead);
+//     parameter, receiver field, package-level buffer, a local defined
+//     as a reslice of one of those, or a slice the dataflow engine
+//     proves locally constructed (whose creation site is flagged
+//     instead);
 //   - Append*(nil) — the call exists only to allocate a fresh slice.
 //
 // A function whose body begins with the nil-receiver guard
@@ -72,6 +73,10 @@ var hotpathSeeds = []hotSeed{
 	{"/internal/attr", "Descriptor", "EncodedSize"},
 	{"/internal/attr", "Query", "EncodedSize"},
 	{"/internal/bloom", "Filter", "EncodedSize"},
+	{"/internal/store", "DataStore", "Expire"},
+	{"/internal/store", "LQT", "Expire"},
+	{"/internal/store", "CDITable", "Expire"},
+	{"/internal/store", "RecentResponses", "Prune"},
 	// Fixture-only seed exercising the missing-annotation diagnostic.
 	{"fixture/allocfree", "", "seededEncode"},
 }
@@ -221,6 +226,26 @@ func checkAllocFree(p *Pass, fl *funcFlow, fd *ast.FuncDecl) {
 			}
 		}
 	}
+
+	// A local defined as a reslice of a caller-managed buffer
+	// (buf := t.buf[:0]) grows that same buffer.
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || as.Tok != token.DEFINE || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i, rhs := range as.Rhs {
+			id, isIdent := as.Lhs[i].(*ast.Ident)
+			sl, isSlice := rhs.(*ast.SliceExpr)
+			if !isIdent || !isSlice || !managedBase(sl.X) {
+				continue
+			}
+			if obj := info.Defs[id]; obj != nil {
+				callerManaged[obj] = true
+			}
+		}
+		return true
+	})
 
 	walkStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
 		switch n := n.(type) {

@@ -177,8 +177,9 @@ func checkDeterminismCall(p *Pass, call *ast.CallExpr) {
 // sensitive. Safe shapes:
 //
 //  1. commutative accumulation — counters (x++), commutative compound
-//     assignments (+= -= *= |= &= ^=), inserts into other maps,
-//     deletes, and ifs wrapping only such statements;
+//     assignments (+= -= *= |= &= ^=), min/max folds into an outer
+//     scalar (x = min(x, e), x = max(x, e) with the builtins), inserts
+//     into other maps, deletes, and ifs wrapping only such statements;
 //  2. per-entry rewrites — plain assignments whose target is rooted in
 //     the range key/value variable or a local declared inside the loop
 //     body (each entry only touches its own state), including nested
@@ -323,10 +324,13 @@ func (sc *mapRangeScope) safeStmt(s ast.Stmt, depth int) bool {
 
 // safePlainAssign accepts writes that cannot leak iteration order:
 // inserts into maps, writes rooted in per-entry state (the range
-// variables or body-locals), and s = append(s, x) collection into an
-// outer slice, recorded for the later sort check.
+// variables or body-locals), min/max folds, and s = append(s, x)
+// collection into an outer slice, recorded for the later sort check.
 func (sc *mapRangeScope) safePlainAssign(s *ast.AssignStmt) bool {
 	info := sc.p.Pkg.Info
+	if sc.minMaxFold(s) {
+		return true
+	}
 	// The append-collect shape first: s = append(s, x).
 	if len(s.Lhs) == 1 && len(s.Rhs) == 1 {
 		if lhs, ok := s.Lhs[0].(*ast.Ident); ok {
@@ -357,6 +361,44 @@ func (sc *mapRangeScope) safePlainAssign(s *ast.AssignStmt) bool {
 		}
 	}
 	return true
+}
+
+// minMaxFold reports whether s is x = min(x, …) or x = max(x, …) with
+// the builtin and a scalar variable x: the fold's result is the same
+// whichever order the entries arrive in.
+func (sc *mapRangeScope) minMaxFold(s *ast.AssignStmt) bool {
+	info := sc.p.Pkg.Info
+	if len(s.Lhs) != 1 || len(s.Rhs) != 1 {
+		return false
+	}
+	lhs, ok := s.Lhs[0].(*ast.Ident)
+	if !ok {
+		return false
+	}
+	x := info.Uses[lhs]
+	if x == nil {
+		return false
+	}
+	if _, scalar := x.Type().Underlying().(*types.Basic); !scalar {
+		return false
+	}
+	call, ok := s.Rhs[0].(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := call.Fun.(*ast.Ident)
+	if !ok || (fn.Name != "min" && fn.Name != "max") {
+		return false
+	}
+	if _, isBuiltin := info.Uses[fn].(*types.Builtin); !isBuiltin {
+		return false
+	}
+	for _, arg := range call.Args {
+		if id, ok := arg.(*ast.Ident); ok && info.Uses[id] == x {
+			return true
+		}
+	}
+	return false
 }
 
 // safeTarget reports whether writing through lhs is order-insensitive:

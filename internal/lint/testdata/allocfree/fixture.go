@@ -43,6 +43,21 @@ func appendProvenance(c *codec, dst []byte, vals []int) []byte {
 	return append(dst, c.buf...)
 }
 
+// A local that reslices a caller-managed buffer keeps its provenance;
+// a reslice of anything else does not.
+//
+//pds:hotpath
+func (c *codec) reuseBuffer(vals []int) int {
+	buf := c.buf[:0]
+	for _, v := range vals {
+		buf = append(buf, byte(v))
+	}
+	c.buf = buf
+	other := lookup()[:0]
+	other = append(other, 1) // want "append in hot path reuseBuffer has unknown capacity provenance"
+	return len(buf) + len(other)
+}
+
 func lookup() []int { return nil }
 
 type sink interface{ accept(v any) }

@@ -51,6 +51,47 @@ func mapCount(m map[int]string) (n int, total int) {
 	return n, total
 }
 
+// A builtin min/max fold into an outer scalar is commutative.
+func mapMinFold(m map[int]int) (lo, hi int) {
+	lo, hi = 1<<62, -1<<62
+	for _, v := range m {
+		lo = min(lo, v)
+		if v > 0 {
+			hi = max(v, hi)
+		}
+	}
+	return lo, hi
+}
+
+// A plain overwrite keeps whichever entry came last.
+func mapLastWins(m map[int]int) int {
+	x := 0
+	for _, v := range m { // want "map iteration order is random"
+		x = v
+	}
+	return x
+}
+
+// Folding into a different variable than the one assigned keeps only
+// the last entry's fold.
+func mapMinOther(m map[int]int, y int) int {
+	x := 0
+	for _, v := range m { // want "map iteration order is random"
+		x = min(y, v)
+	}
+	return x
+}
+
+// A user-defined min may be order sensitive; only the builtin counts.
+func mapShadowedMin(m map[int]int) int {
+	min := func(a, b int) int { return a - b }
+	x := 0
+	for _, v := range m { // want "map iteration order is random"
+		x = min(x, v)
+	}
+	return x
+}
+
 // Inserting into another map and deleting are order-insensitive.
 func mapTransfer(src map[int]int, dst map[int]int) {
 	for k, v := range src {

@@ -92,13 +92,15 @@ func (d *Deployment) report(in *fault.Injector, consumer wire.NodeID, kind strin
 // whether routing does. The retrieval must either complete or return an
 // enumerated partial result by its deadline — never hang.
 func CrashTheHub(seed int64, itemBytes int) ChaosReport {
-	return crashTheHub(seed, itemBytes, "", "")
+	rep, _ := crashTheHub(seed, itemBytes, "", "")
+	return rep
 }
 
 // crashTheHub is CrashTheHub parameterized over the routing/caching
 // strategy pair; empty names keep the node defaults (and a nil
-// Sample.Strategy, so default rows stay byte-identical).
-func crashTheHub(seed int64, itemBytes int, routing, caching string) ChaosReport {
+// Sample.Strategy, so default rows stay byte-identical). It also
+// returns the finished deployment for inspection.
+func crashTheHub(seed int64, itemBytes int, routing, caching string) (ChaosReport, *Deployment) {
 	const deadline = 8 * time.Minute
 	cfg := chaosConfig(deadline)
 	cfg.Routing = routing
@@ -122,7 +124,7 @@ func crashTheHub(seed int64, itemBytes int, routing, caching string) ChaosReport
 	rep := d.report(in, consumer, "crash-the-hub", recall, res.Latency, res.Rounds, done,
 		fmt.Sprintf("chunks=%d/%d missing=%v deadline=%v", len(res.Chunks), total, res.Missing, res.Deadline))
 	rep.Retrieval = res
-	return rep
+	return rep, d
 }
 
 // DiskCrashRecovery is CrashTheHub on a disk-backed deployment: every
@@ -169,6 +171,13 @@ func DiskCrashRecovery(seed int64, itemBytes int, dataDir string) ChaosReport {
 // recall over the crowd; the last consumer's discovery result is
 // returned as Discovery.
 func FlashCrowdChurn(seed int64, entries int) ChaosReport {
+	rep, _ := flashCrowdChurn(seed, entries)
+	return rep
+}
+
+// flashCrowdChurn is FlashCrowdChurn that also returns the finished
+// deployment for inspection.
+func flashCrowdChurn(seed int64, entries int) (ChaosReport, *Deployment) {
 	const deadline = 4 * time.Minute
 	d := Grid(8, 8, GridSpacing, Options{Seed: seed, Core: chaosConfig(0)})
 	d.DistributeEntries(entries, 2)
@@ -213,7 +222,7 @@ func FlashCrowdChurn(seed int64, entries int) ChaosReport {
 	rep := d.report(in, center, "flash-crowd-churn", recall, latency, rounds, done,
 		fmt.Sprintf("consumers=%d entries=%d", len(consumers), entries))
 	rep.Discovery = results[len(results)-1]
-	return rep
+	return rep, d
 }
 
 // ChaosSeries reduces the three chaos scenarios to one metric row each

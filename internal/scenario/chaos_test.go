@@ -19,8 +19,9 @@ func TestChaosCrashTheHub(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	rep := CrashTheHub(42, 20<<20)
+	rep, d := crashTheHub(42, 20<<20, "", "")
 	t.Log(rep.Row)
+	assertNoOverdue(t, d)
 	if !rep.Done {
 		t.Fatal("retrieval hung past its deadline")
 	}
@@ -72,6 +73,21 @@ func TestChaosCrashTheHub(t *testing.T) {
 	}
 }
 
+// assertNoOverdue checks that table growth stays bounded through
+// crashes and restarts: no node holds a data-store entry, CDI entry,
+// lingering query or recent-response id that housekeeping should have
+// reaped more than one tick ago (cached entries pinned by a held
+// payload excepted). Crashed nodes hold none: a crash wipes them.
+func assertNoOverdue(t *testing.T, d *Deployment) {
+	t.Helper()
+	cutoff := d.Eng.Now() - time.Second
+	for _, id := range d.peerIDs {
+		if n := d.Peers[id].Node.Overdue(cutoff); n > 0 {
+			t.Errorf("node %d holds %d records more than 1s past their deadline at %v", id, n, d.Eng.Now())
+		}
+	}
+}
+
 // TestChaosDeterminism: identical seeds must reproduce the chaos run
 // bit for bit, down to the metric row; a different seed must diverge
 // somewhere in the fault stream.
@@ -100,8 +116,9 @@ func TestChaosFlashCrowdChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	rep := FlashCrowdChurn(42, 1000)
+	rep, d := flashCrowdChurn(42, 1000)
 	t.Log(rep.Row)
+	assertNoOverdue(t, d)
 	if !rep.Done {
 		t.Fatal("a consumer hung past the deadline")
 	}

@@ -188,7 +188,8 @@ func compareCell(scen string, cfg CompareConfig) (func(seed int64, routing, cach
 			itemBytes = 1 << 20
 		}
 		return func(seed int64, routing, caching string) metrics.Sample {
-			return crashTheHub(seed, itemBytes, routing, caching).Sample
+			rep, _ := crashTheHub(seed, itemBytes, routing, caching)
+			return rep.Sample
 		}, nil
 	case "stream":
 		var spec workload.StreamSpec

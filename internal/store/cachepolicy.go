@@ -100,6 +100,11 @@ func (s *DataStore) evictOne() bool {
 			s.spilled[key] = true
 		} else if e, ok := s.entries[key]; ok {
 			s.unindexChunk(e.Desc)
+			if !e.Owned {
+				// The payload pinned this entry; once it expires
+				// Expire must reap it.
+				s.nextExpiry = min(s.nextExpiry, e.ExpireAt)
+			}
 		}
 	}
 	s.cache.Forget(key)

@@ -25,11 +25,16 @@ type CDITable struct {
 	// items[itemKey][chunkID] -> entries with the same minimal hop
 	// count, one per neighbor.
 	items map[string]map[int][]CDIEntry
+	// nextExpiry is the expiry watermark: no entry expires before it.
+	// Expire recomputes it on each full scan; Update lowers it for
+	// every entry it stores.
+	nextExpiry time.Duration
+	scans      int // full Expire scans, read by tests
 }
 
 // NewCDITable returns an empty table.
 func NewCDITable() *CDITable {
-	return &CDITable{items: make(map[string]map[int][]CDIEntry)}
+	return &CDITable{items: make(map[string]map[int][]CDIEntry), nextExpiry: never}
 }
 
 // Update merges a new observation: chunkID of the item reachable via
@@ -45,6 +50,7 @@ func (t *CDITable) Update(itemKey string, e CDIEntry) bool {
 	cur := chunks[e.ChunkID]
 	if len(cur) == 0 || e.HopCount < cur[0].HopCount {
 		chunks[e.ChunkID] = []CDIEntry{e}
+		t.nextExpiry = min(t.nextExpiry, e.ExpireAt)
 		return true
 	}
 	if e.HopCount > cur[0].HopCount {
@@ -60,6 +66,7 @@ func (t *CDITable) Update(itemKey string, e CDIEntry) bool {
 		}
 	}
 	chunks[e.ChunkID] = append(cur, e)
+	t.nextExpiry = min(t.nextExpiry, e.ExpireAt)
 	return true
 }
 
@@ -171,27 +178,54 @@ func (t *CDITable) DropNeighborAll(neighbor wire.NodeID) int {
 }
 
 // Expire removes expired entries; obsolete CDI does not live forever
-// (§IV-A). It returns the number removed.
+// (§IV-A). It returns the number removed. Before the watermark it
+// returns at once: no entry is due yet.
+//
+//pds:hotpath
 func (t *CDITable) Expire(now time.Duration) int {
+	if now < t.nextExpiry {
+		return 0
+	}
+	t.scans++
 	n := 0
+	next := never
 	for itemKey, chunks := range t.items {
 		for cid, entries := range chunks {
-			kept := entries[:0]
+			// Compact in place: the survivors reuse the slice.
+			kept := 0
 			for _, e := range entries {
 				if e.ExpireAt > now {
-					kept = append(kept, e)
+					entries[kept] = e
+					kept++
+					next = min(next, e.ExpireAt)
 				} else {
 					n++
 				}
 			}
-			if len(kept) == 0 {
+			if kept == 0 {
 				delete(chunks, cid)
 			} else {
-				chunks[cid] = kept
+				chunks[cid] = entries[:kept]
 			}
 		}
 		if len(chunks) == 0 {
 			delete(t.items, itemKey)
+		}
+	}
+	t.nextExpiry = next
+	return n
+}
+
+// Overdue counts the entries held whose expiry is before cutoff.
+func (t *CDITable) Overdue(cutoff time.Duration) int {
+	n := 0
+	for _, chunks := range t.items {
+		for _, entries := range chunks {
+			for _, e := range entries {
+				if e.ExpireAt < cutoff {
+					n++
+				}
+			}
 		}
 	}
 	return n

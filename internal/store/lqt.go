@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -66,11 +67,16 @@ type LQT struct {
 	queries map[uint64]*LingeringQuery
 	// tr records LQT insert/expire trace events; nil is free.
 	tr *trace.NodeTracer
+	// nextExpiry is the expiry watermark: no query expires before it.
+	// Expire recomputes it on each full scan; Insert lowers it.
+	nextExpiry time.Duration
+	scans      int      // full Expire scans, read by tests
+	expired    []uint64 // Expire's reused id buffer
 }
 
 // NewLQT returns an empty table.
 func NewLQT() *LQT {
-	return &LQT{queries: make(map[uint64]*LingeringQuery)}
+	return &LQT{queries: make(map[uint64]*LingeringQuery), nextExpiry: never}
 }
 
 // SetTracer installs a node-bound tracer for LQT events. A nil tracer
@@ -99,6 +105,7 @@ func (t *LQT) Insert(q *wire.Query, expireAt time.Duration) *LingeringQuery {
 		lq.Wanted = append([]int(nil), q.ChunkIDs...)
 	}
 	t.queries[q.ID] = lq
+	t.nextExpiry = min(t.nextExpiry, expireAt)
 	t.tr.LQTInsert(q.ID)
 	return lq
 }
@@ -173,22 +180,45 @@ func (t *LQT) Remove(id uint64) { delete(t.queries, id) }
 
 // Expire removes expired queries and returns the number removed
 // (§III-A: "a lingering query stays in the LQT until its expiration,
-// upon which it is removed").
+// upon which it is removed"). Before the watermark it returns at once:
+// no query is due yet.
+//
+//pds:hotpath
 func (t *LQT) Expire(now time.Duration) int {
+	if now < t.nextExpiry {
+		return 0
+	}
+	t.scans++
 	// Collect and sort before emitting: LQTExpire events land in the
 	// trace export, which must not inherit map iteration order.
-	var expired []uint64
+	expired := t.expired[:0]
+	next := never
 	for id, lq := range t.queries {
 		if lq.ExpireAt <= now {
 			expired = append(expired, id)
+		} else {
+			next = min(next, lq.ExpireAt)
 		}
 	}
-	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
+	t.nextExpiry = next
+	slices.Sort(expired)
 	for _, id := range expired {
 		delete(t.queries, id)
 		t.tr.LQTExpire(id)
 	}
+	t.expired = expired
 	return len(expired)
+}
+
+// Overdue counts the queries held whose expiry is before cutoff.
+func (t *LQT) Overdue(cutoff time.Duration) int {
+	n := 0
+	for _, lq := range t.queries {
+		if lq.ExpireAt < cutoff {
+			n++
+		}
+	}
+	return n
 }
 
 // Len returns the number of queries currently held, expired or not.
@@ -200,11 +230,15 @@ func (t *LQT) Len() int { return len(t.queries) }
 type RecentResponses struct {
 	seen      map[uint64]time.Duration
 	retention time.Duration
+	// nextPrune is the watermark: no id leaves the window before it.
+	// Prune recomputes it on each full scan; Seen lowers it.
+	nextPrune time.Duration
+	scans     int // full Prune scans, read by tests
 }
 
 // NewRecentResponses returns a cache with the given retention.
 func NewRecentResponses(retention time.Duration) *RecentResponses {
-	return &RecentResponses{seen: make(map[uint64]time.Duration), retention: retention}
+	return &RecentResponses{seen: make(map[uint64]time.Duration), retention: retention, nextPrune: never}
 }
 
 // Seen records the id and reports whether it had been seen within the
@@ -212,16 +246,40 @@ func NewRecentResponses(retention time.Duration) *RecentResponses {
 func (r *RecentResponses) Seen(id uint64, now time.Duration) bool {
 	at, ok := r.seen[id]
 	r.seen[id] = now
+	r.nextPrune = min(r.nextPrune, now+r.retention)
 	return ok && now-at < r.retention
 }
 
-// Prune removes entries older than the retention window.
+// Prune removes entries older than the retention window. Before the
+// watermark it returns at once: no id has aged out yet.
+//
+//pds:hotpath
 func (r *RecentResponses) Prune(now time.Duration) {
+	if now < r.nextPrune {
+		return
+	}
+	r.scans++
+	next := never
 	for id, at := range r.seen {
 		if now-at >= r.retention {
 			delete(r.seen, id)
+		} else {
+			next = min(next, at+r.retention)
 		}
 	}
+	r.nextPrune = next
+}
+
+// Overdue counts the ids held whose retention window ended before
+// cutoff.
+func (r *RecentResponses) Overdue(cutoff time.Duration) int {
+	n := 0
+	for _, at := range r.seen {
+		if at+r.retention < cutoff {
+			n++
+		}
+	}
+	return n
 }
 
 // Len returns the number of tracked ids.

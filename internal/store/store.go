@@ -8,6 +8,7 @@
 package store
 
 import (
+	"math"
 	"sort"
 	"time"
 
@@ -15,6 +16,10 @@ import (
 	"pds/internal/strategy"
 	"pds/internal/trace"
 )
+
+// never is the expiry watermark of a table holding nothing that can
+// expire.
+const never = time.Duration(math.MaxInt64)
 
 // Entry is one metadata entry in the data store (§II-C): a descriptor
 // plus bookkeeping about how it is held.
@@ -58,6 +63,12 @@ type DataStore struct {
 	spilled map[string]bool
 	// tr records cache insert/evict trace events; nil is free.
 	tr *trace.NodeTracer
+	// nextExpiry is the expiry watermark: no entry that Expire could
+	// remove is due before it. Expire recomputes it on each full scan;
+	// every writer that can leave a removable entry due earlier lowers
+	// it. Entries pinned by a held or spilled payload are left out.
+	nextExpiry time.Duration
+	scans      int // full Expire scans, read by tests
 }
 
 // SetTracer installs a node-bound tracer for cache events and, when a
@@ -80,6 +91,7 @@ func NewDataStore(cacheCap int) *DataStore {
 		spilled:    make(map[string]bool),
 		cacheCap:   cacheCap,
 		chunkIndex: make(map[string]map[int]string),
+		nextExpiry: never,
 	}
 	s.SetCachePolicy(EvictFIFO)
 	return s
@@ -113,6 +125,7 @@ func (s *DataStore) PutCached(d attr.Descriptor, expireAt time.Duration) bool {
 		return false
 	}
 	s.entries[key] = Entry{Desc: d, ExpireAt: expireAt}
+	s.nextExpiry = min(s.nextExpiry, expireAt)
 	s.tr.CacheInsert(key, 0)
 	return true
 }
@@ -475,18 +488,51 @@ func (s *DataStore) PowerOff() {
 
 // Expire removes entries whose expiry has passed and whose payload is
 // absent (§II-C: "upon expiration, the node removes the entry if it does
-// not yet have the payload"). It returns the number removed.
+// not yet have the payload"). It returns the number removed. Before the
+// watermark it returns at once: nothing removable is due yet.
+//
+//pds:hotpath
 func (s *DataStore) Expire(now time.Duration) int {
+	if now < s.nextExpiry {
+		return 0
+	}
+	s.scans++
 	n := 0
+	next := never
 	for k, e := range s.entries {
-		if e.Owned || e.ExpireAt > now {
+		if e.Owned {
 			continue
 		}
-		if _, hasPayload := s.payloads[k]; hasPayload || s.spilled[k] {
+		if e.ExpireAt > now {
+			next = min(next, e.ExpireAt)
+			continue
+		}
+		if s.pinned(k) {
 			continue
 		}
 		delete(s.entries, k)
 		n++
+	}
+	s.nextExpiry = next
+	return n
+}
+
+// pinned reports whether a held or spilled payload keeps the entry
+// alive past its expiry.
+func (s *DataStore) pinned(key string) bool {
+	_, held := s.payloads[key]
+	return held || s.spilled[key]
+}
+
+// Overdue counts the entries Expire would remove whose expiry is
+// before cutoff: with housekeeping running, a positive count means a
+// record was stranded.
+func (s *DataStore) Overdue(cutoff time.Duration) int {
+	n := 0
+	for k, e := range s.entries {
+		if !e.Owned && e.ExpireAt < cutoff && !s.pinned(k) {
+			n++
+		}
 	}
 	return n
 }
