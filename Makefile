@@ -39,12 +39,13 @@ verify: lint
 	$(GO) test ./...
 	$(GO) test -race ./...
 
-# fuzz runs short bursts of the fuzzers: the codec, the datagram
-# framing above it, the tracker wire protocol, the persistent store's
-# record framing below it, and the two CLI spec grammars (fault plans
-# and workload specs).
+# fuzz runs short bursts of the fuzzers: the codec, the Bloom filter
+# it embeds, the datagram framing above it, the tracker wire protocol,
+# the persistent store's record framing below it, and the two CLI spec
+# grammars (fault plans and workload specs).
 fuzz:
 	$(GO) test ./internal/wire -fuzz FuzzDecode -fuzztime 30s
+	$(GO) test ./internal/bloom -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/udptransport -fuzz FuzzDecodeDatagram -fuzztime 30s
 	$(GO) test ./internal/tracker -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/diskstore -fuzz FuzzSegmentDecode -fuzztime 30s

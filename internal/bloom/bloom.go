@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 )
 
@@ -29,6 +28,9 @@ type Filter struct {
 	nhashes uint32
 	salt    uint64
 	count   uint64 // inserted elements, approximate occupancy signal
+	// overloaded caches EstimatedFPR() > overloadFPR for the current
+	// count; see Overloaded.
+	overloaded bool
 }
 
 // Default sizing targets used when the caller does not specify them.
@@ -87,28 +89,41 @@ func NewForCapacity(n uint64, fpr float64, salt uint64) *Filter {
 	return New(m, k, salt)
 }
 
-// hashPair returns the two independent base hashes for double hashing.
+// FNV-1a 64-bit parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// hashPair returns the two independent base hashes for double hashing:
+// FNV-1a over (salt big-endian, key), and over (0xd6, salt, key) — the
+// distinct prefix byte makes h2 independent of h1 for the scheme
+// g_i = h1 + i*h2. Both lanes run in one pass over the input, with the
+// same bits hash/fnv would produce.
+//
+//pds:hotpath
 func (f *Filter) hashPair(key string) (uint64, uint64) {
-	h := fnv.New64a()
-	var saltBuf [8]byte
-	binary.BigEndian.PutUint64(saltBuf[:], f.salt)
-	h.Write(saltBuf[:])
-	h.Write([]byte(key))
-	h1 := h.Sum64()
-	// Second hash: re-mix with a distinct prefix byte so h2 is
-	// independent of h1 for the double-hashing scheme g_i = h1 + i*h2.
-	h.Reset()
-	h.Write([]byte{0xd6})
-	h.Write(saltBuf[:])
-	h.Write([]byte(key))
-	h2 := h.Sum64() | 1 // force odd so strides cover the table
-	return h1, h2
+	h1, h2 := uint64(fnvOffset64), uint64(fnvOffset64)
+	h2 = (h2 ^ 0xd6) * fnvPrime64
+	for shift := 56; shift >= 0; shift -= 8 {
+		b := uint64(byte(f.salt >> shift))
+		h1 = (h1 ^ b) * fnvPrime64
+		h2 = (h2 ^ b) * fnvPrime64
+	}
+	for i := 0; i < len(key); i++ {
+		b := uint64(key[i])
+		h1 = (h1 ^ b) * fnvPrime64
+		h2 = (h2 ^ b) * fnvPrime64
+	}
+	return h1, h2 | 1 // force h2 odd so strides cover the table
 }
 
 // Add inserts the key. The distinct-element counter only advances when
 // at least one bit was newly set, so repeated insertions of the same
 // keys (which en-route rewriting does constantly) do not inflate the
 // occupancy estimate.
+//
+//pds:hotpath
 func (f *Filter) Add(key string) {
 	h1, h2 := f.hashPair(key)
 	changed := false
@@ -122,11 +137,14 @@ func (f *Filter) Add(key string) {
 	}
 	if changed {
 		f.count++
+		f.overloaded = f.EstimatedFPR() > overloadFPR
 	}
 }
 
 // Contains reports whether the key may have been inserted. False
 // positives are possible; false negatives are not.
+//
+//pds:hotpath
 func (f *Filter) Contains(key string) bool {
 	h1, h2 := f.hashPair(key)
 	for i := uint32(0); i < f.nhashes; i++ {
@@ -172,16 +190,25 @@ func (f *Filter) EstimatedFPR() float64 {
 // salting re-randomizes them, exactly the §V-3 argument (the paper
 // quotes ~14% per-round FPR converging to 0.02 joint FPR in 2 rounds
 // for 10,000 entries on a bounded filter).
-func (f *Filter) Overloaded() bool { return f.EstimatedFPR() > 0.25 }
+//
+// The flag is kept by the writers (Add, Clone, Decode) so this stays a
+// pure read: frozen query filters are shared and may be read
+// concurrently.
+func (f *Filter) Overloaded() bool { return f.overloaded }
+
+// overloadFPR is the estimated false-positive rate past which a filter
+// is overloaded.
+const overloadFPR = 0.25
 
 // Clone returns a deep copy of the filter.
 func (f *Filter) Clone() *Filter {
 	out := &Filter{
-		bits:    make([]byte, len(f.bits)),
-		nbits:   f.nbits,
-		nhashes: f.nhashes,
-		salt:    f.salt,
-		count:   f.count,
+		bits:       make([]byte, len(f.bits)),
+		nbits:      f.nbits,
+		nhashes:    f.nhashes,
+		salt:       f.salt,
+		count:      f.count,
+		overloaded: f.overloaded,
 	}
 	copy(out.bits, f.bits)
 	return out
@@ -219,31 +246,44 @@ func (f *Filter) AppendBinary(dst []byte) []byte {
 
 var errTruncated = errors.New("bloom: truncated encoding")
 
+// uvarint reads one minimal uvarint and returns the bytes after it.
+func uvarint(src []byte) (uint64, []byte, error) {
+	v, used := binary.Uvarint(src)
+	if used <= 0 {
+		return 0, nil, errTruncated
+	}
+	if used != uvarintLen(v) {
+		return 0, nil, errors.New("bloom: non-minimal uvarint")
+	}
+	return v, src[used:], nil
+}
+
 // Decode decodes a filter encoded by AppendBinary and returns the
-// remaining bytes.
+// remaining bytes. It accepts only what AppendBinary writes: minimal
+// uvarints, and a hash count from 1 to the table size, so a hostile
+// frame cannot make each test loop billions of times.
 func Decode(src []byte) (*Filter, []byte, error) {
-	nbits, used := binary.Uvarint(src)
-	if used <= 0 {
-		return nil, nil, errTruncated
+	nbits, src, err := uvarint(src)
+	if err != nil {
+		return nil, nil, err
 	}
-	src = src[used:]
-	nhashes, used := binary.Uvarint(src)
-	if used <= 0 {
-		return nil, nil, errTruncated
+	nhashes, src, err := uvarint(src)
+	if err != nil {
+		return nil, nil, err
 	}
-	src = src[used:]
-	salt, used := binary.Uvarint(src)
-	if used <= 0 {
-		return nil, nil, errTruncated
+	salt, src, err := uvarint(src)
+	if err != nil {
+		return nil, nil, err
 	}
-	src = src[used:]
-	count, used := binary.Uvarint(src)
-	if used <= 0 {
-		return nil, nil, errTruncated
+	count, src, err := uvarint(src)
+	if err != nil {
+		return nil, nil, err
 	}
-	src = src[used:]
 	if nbits == 0 || nbits%8 != 0 || nbits > MaxBits {
 		return nil, nil, fmt.Errorf("bloom: invalid table size %d", nbits)
+	}
+	if nhashes == 0 || nhashes > nbits {
+		return nil, nil, fmt.Errorf("bloom: invalid hash count %d for %d bits", nhashes, nbits)
 	}
 	nbytes := int(nbits / 8)
 	if len(src) < nbytes {
@@ -256,6 +296,7 @@ func Decode(src []byte) (*Filter, []byte, error) {
 		salt:    salt,
 		count:   count,
 	}
+	f.overloaded = f.EstimatedFPR() > overloadFPR
 	copy(f.bits, src[:nbytes])
 	return f, src[nbytes:], nil
 }

@@ -1,7 +1,9 @@
 package bloom
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -120,10 +122,20 @@ func TestDecodeTruncated(t *testing.T) {
 }
 
 func TestDecodeRejectsBadGeometry(t *testing.T) {
-	// nbits not a multiple of 8.
-	bad := []byte{9, 1, 0, 0, 0xff, 0xff}
-	if _, _, err := Decode(bad); err == nil {
-		t.Fatal("accepted nbits=9")
+	for _, c := range []struct {
+		what string
+		enc  []byte
+	}{
+		{"nbits=9", []byte{9, 1, 0, 0, 0xff, 0xff}},
+		{"nhashes=0", []byte{8, 0, 0, 0, 0xff}},
+		{"nhashes=9 > nbits=8", []byte{8, 9, 0, 0, 0xff}},
+		{"nhashes=2^32", []byte{8, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0, 0xff}},
+		{"non-minimal nbits", []byte{0x88, 0x00, 1, 0, 0, 0xff}},
+		{"non-minimal count", []byte{8, 1, 0, 0x80, 0x00, 0xff}},
+	} {
+		if _, _, err := Decode(c.enc); err == nil {
+			t.Errorf("accepted %s", c.what)
+		}
 	}
 }
 
@@ -229,5 +241,72 @@ func TestQuickEncodeRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refHashPair is hashPair written with hash/fnv: FNV-1a over (salt
+// big-endian, key), and over (0xd6, salt, key) forced odd.
+func refHashPair(salt uint64, key string) (uint64, uint64) {
+	var saltBuf [8]byte
+	binary.BigEndian.PutUint64(saltBuf[:], salt)
+	h := fnv.New64a()
+	h.Write(saltBuf[:])
+	h.Write([]byte(key))
+	h1 := h.Sum64()
+	h.Reset()
+	h.Write([]byte{0xd6})
+	h.Write(saltBuf[:])
+	h.Write([]byte(key))
+	return h1, h.Sum64() | 1
+}
+
+// TestHashPairMatchesFNV pins the inlined two-lane hash to hash/fnv over
+// random salts and keys of 0–80 bytes: every filter bit stays where the
+// wire format and earlier releases put it.
+func TestHashPairMatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		salt := rng.Uint64()
+		if i%10 == 0 {
+			salt = uint64(i) // small salts: leading zero bytes
+		}
+		key := make([]byte, rng.Intn(81))
+		rng.Read(key)
+		f := New(64, 3, salt)
+		g1, g2 := f.hashPair(string(key))
+		w1, w2 := refHashPair(salt, string(key))
+		if g1 != w1 || g2 != w2 {
+			t.Fatalf("salt %#x key %x: hashPair (%#x, %#x), hash/fnv (%#x, %#x)", salt, key, g1, g2, w1, w2)
+		}
+	}
+}
+
+// checkOverloaded asserts the Overloaded invariant the writers keep.
+func checkOverloaded(t *testing.T, f *Filter, at string) {
+	t.Helper()
+	if f.Overloaded() != (f.EstimatedFPR() > 0.25) {
+		t.Fatalf("%s: Overloaded()=%v but EstimatedFPR()=%.4f", at, f.Overloaded(), f.EstimatedFPR())
+	}
+}
+
+// TestOverloadedTracksEstimate: Overloaded equals EstimatedFPR() > 0.25
+// after New, every Add, Clone and Decode, through the crossing.
+func TestOverloadedTracksEstimate(t *testing.T) {
+	f := New(64, 3, 9)
+	checkOverloaded(t, f, "New")
+	crossed := false
+	for i, k := range keys(200, "k") {
+		f.Add(k)
+		checkOverloaded(t, f, fmt.Sprintf("Add #%d", i))
+		checkOverloaded(t, f.Clone(), fmt.Sprintf("Clone after Add #%d", i))
+		g, _, err := Decode(f.AppendBinary(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkOverloaded(t, g, fmt.Sprintf("Decode after Add #%d", i))
+		crossed = crossed || f.Overloaded()
+	}
+	if !crossed {
+		t.Fatal("filter never overloaded: the crossing was not exercised")
 	}
 }

@@ -165,25 +165,13 @@ func (n *Node) serveQueries(kind wire.QueryKind) {
 	for _, lq := range routes {
 		lq.Served = true
 	}
-	// Candidate set: union of per-query matches, deduplicated, sorted
-	// (store matches are key-sorted; merge preserves determinism).
-	seen := make(map[string]bool)
-	var candidates []attr.Descriptor
-	for _, lq := range routes {
-		var matches []attr.Descriptor
-		if kind == wire.KindData {
-			matches = n.ds.MatchPayloads(lq.Query.Sel, now)
-		} else {
-			matches = n.ds.Match(lq.Query.Sel, now)
-		}
-		for _, d := range matches {
-			key := d.Key()
-			if !seen[key] {
-				seen[key] = true
-				candidates = append(candidates, d)
-			}
-		}
+	// Candidate set: one store scan, each hit tagged with the first
+	// route whose selector it satisfies, ordered by that route, then key.
+	sels := make([]attr.Query, len(routes))
+	for i, lq := range routes {
+		sels[i] = lq.Query.Sel
 	}
+	hits := n.ds.MatchFirst(sels, kind == wire.KindData, now)
 
 	var (
 		entries []attr.Descriptor
@@ -191,11 +179,14 @@ func (n *Node) serveQueries(kind wire.QueryKind) {
 	)
 	recv := make(map[wire.NodeID]bool)
 	serves := make(map[wire.Serve]bool)
-	for _, d := range candidates {
+	for _, h := range hits {
+		d := h.Desc
 		key := d.Key()
 		forward := false
-		for _, lq := range routes {
-			if !lq.Query.Sel.Match(d) {
+		// Routes before h.First do not match d, and h.First does.
+		for ri := h.First; ri < len(routes); ri++ {
+			lq := routes[ri]
+			if ri > h.First && !lq.Query.Sel.Match(d) {
 				continue
 			}
 			if lq.AlreadyForwarded(key) {

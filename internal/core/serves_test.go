@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"pds/internal/attr"
 	"pds/internal/wire"
 )
 
@@ -178,5 +180,70 @@ func TestHopLimitScopesFlood(t *testing.T) {
 	}
 	if !res.Entries[0].Equal(testEntry(0)) {
 		t.Fatalf("wrong entry: %s", res.Entries[0])
+	}
+}
+
+// TestServePassRematchesLaterRoutes: one producer serves three lingering
+// queries in one pass. Entries e004/e005 match only the third route and
+// e006–e009 match the second and third, so the candidates come in
+// first-route order and the pass re-matches later routes against an
+// entry whose first route is past 0.
+func TestServePassRematchesLaterRoutes(t *testing.T) {
+	h := newHarness(t, DefaultConfig(), 1, 2, 3, 9)
+	h.links = map[[2]wire.NodeID]bool{}
+	for _, id := range []wire.NodeID{1, 2, 3} {
+		h.links[[2]wire.NodeID{id, 9}] = true
+		h.links[[2]wire.NodeID{9, id}] = true
+	}
+	p := h.nodes[9]
+	for i := 0; i < 10; i++ {
+		p.PublishEntry(testEntry(i))
+	}
+	sels := []attr.Query{
+		testSel().And(attr.Le(attr.AttrName, attr.String("e003"))),
+		testSel().And(attr.Ge(attr.AttrName, attr.String("e006"))),
+		testSel(),
+	}
+	for i, sel := range sels {
+		id := wire.NodeID(i + 1)
+		p.handleQuery(&wire.Query{
+			ID: uint64(i + 1), Kind: wire.KindMetadata, TTL: time.Minute,
+			Sender: id, Origin: id, HopsLeft: 1, Sel: sel,
+		})
+	}
+	var got []string
+	var serves []wire.Serve
+	h.taps = append(h.taps, func(from, to wire.NodeID, msg *wire.Message) {
+		if from != 9 || to != 1 || msg.Type != wire.TypeResponse {
+			return
+		}
+		for _, d := range msg.Response.Entries {
+			name, _ := d.Get(attr.AttrName)
+			got = append(got, name.String())
+		}
+		serves = append(serves, msg.Response.Serves...)
+	})
+	h.run(10 * time.Second)
+
+	want := `["e000" "e001" "e002" "e003" "e006" "e007" "e008" "e009" "e004" "e005"]`
+	if fmt.Sprint(got) != want {
+		t.Fatalf("served entries %v, want first-route order %s", got, want)
+	}
+	if len(serves) != 3 {
+		t.Fatalf("serves %v, want one role per query", serves)
+	}
+	// Each route forwarded exactly its own matches: e006–e009 reached
+	// route 2 only through the re-match past their first route.
+	for ri, sel := range sels {
+		lq, ok := p.lqt.Get(uint64(ri+1), h.eng.Now())
+		if !ok {
+			t.Fatalf("route %d query gone", ri)
+		}
+		for i := 0; i < 10; i++ {
+			d := testEntry(i)
+			if lq.AlreadyForwarded(d.Key()) != sel.Match(d) {
+				t.Fatalf("route %d: e%03d forwarded=%v, selector match=%v", ri, i, lq.AlreadyForwarded(d.Key()), sel.Match(d))
+			}
+		}
 	}
 }

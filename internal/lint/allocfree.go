@@ -73,6 +73,9 @@ var hotpathSeeds = []hotSeed{
 	{"/internal/attr", "Descriptor", "EncodedSize"},
 	{"/internal/attr", "Query", "EncodedSize"},
 	{"/internal/bloom", "Filter", "EncodedSize"},
+	{"/internal/bloom", "Filter", "hashPair"},
+	{"/internal/bloom", "Filter", "Contains"},
+	{"/internal/bloom", "Filter", "Add"},
 	{"/internal/store", "DataStore", "Expire"},
 	{"/internal/store", "LQT", "Expire"},
 	{"/internal/store", "CDITable", "Expire"},

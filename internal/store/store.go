@@ -9,7 +9,9 @@ package store
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"pds/internal/attr"
@@ -143,16 +145,49 @@ func (s *DataStore) live(e Entry, now time.Duration) bool {
 // Match returns all unexpired entries whose descriptors satisfy q, in
 // deterministic (key-sorted) order.
 func (s *DataStore) Match(q attr.Query, now time.Duration) []attr.Descriptor {
-	keys := make([]string, 0, len(s.entries))
+	return descs(s.MatchFirst([]attr.Query{q}, false, now))
+}
+
+// Hit is one result of MatchFirst: a matching entry's descriptor and
+// the index of the first selector it satisfies.
+type Hit struct {
+	Desc  attr.Descriptor
+	First int
+}
+
+// MatchFirst scans the store once for the unexpired entries satisfying
+// any of sels — with payloadsOnly, only those whose payload is held in
+// RAM or spilled — and returns them ordered by the index of the first
+// selector each satisfies, then by key. That is the order of sels[0]'s
+// key-sorted matches followed by each later selector's matches not
+// already listed, the candidate order of a mixedcast serve pass.
+func (s *DataStore) MatchFirst(sels []attr.Query, payloadsOnly bool, now time.Duration) []Hit {
+	hits := make([]Hit, 0, len(s.entries))
 	for k, e := range s.entries {
-		if s.live(e, now) && q.Match(e.Desc) {
-			keys = append(keys, k)
+		if !s.live(e, now) || payloadsOnly && !s.pinned(k) {
+			continue
+		}
+		for i, q := range sels {
+			if q.Match(e.Desc) {
+				hits = append(hits, Hit{Desc: e.Desc, First: i})
+				break
+			}
 		}
 	}
-	sort.Strings(keys)
-	out := make([]attr.Descriptor, len(keys))
-	for i, k := range keys {
-		out[i] = s.entries[k].Desc
+	slices.SortFunc(hits, func(a, b Hit) int {
+		if a.First != b.First {
+			return a.First - b.First
+		}
+		return strings.Compare(a.Desc.Key(), b.Desc.Key())
+	})
+	return hits
+}
+
+// descs returns the descriptors of hits, in order.
+func descs(hits []Hit) []attr.Descriptor {
+	out := make([]attr.Descriptor, len(hits))
+	for i, h := range hits {
+		out[i] = h.Desc
 	}
 	return out
 }
@@ -373,30 +408,9 @@ func (s *DataStore) HasPayload(d attr.Descriptor) bool {
 
 // MatchPayloads returns descriptors of held payloads (RAM or spilled)
 // whose metadata entries are unexpired and satisfy q, in deterministic
-// order.
+// (key-sorted) order.
 func (s *DataStore) MatchPayloads(q attr.Query, now time.Duration) []attr.Descriptor {
-	keys := make([]string, 0)
-	for k := range s.payloads {
-		e, ok := s.entries[k]
-		if ok && s.live(e, now) && q.Match(e.Desc) {
-			keys = append(keys, k)
-		}
-	}
-	for k := range s.spilled {
-		if _, inRAM := s.payloads[k]; inRAM {
-			continue
-		}
-		e, ok := s.entries[k]
-		if ok && s.live(e, now) && q.Match(e.Desc) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	out := make([]attr.Descriptor, len(keys))
-	for i, k := range keys {
-		out[i] = s.entries[k].Desc
-	}
-	return out
+	return descs(s.MatchFirst([]attr.Query{q}, true, now))
 }
 
 // OwnedItemKeys returns the sorted item-level keys of the data this
